@@ -2,6 +2,7 @@
 #
 #   make build        compile everything
 #   make vet          static checks
+#   make fmt-check    fail when any Go file is not gofmt-clean
 #   make test         full test suite, race detector enabled
 #   make fuzz-check   run the fuzz corpora in regression mode (no fuzzing)
 #   make bench        all artefact + fleet benchmarks (one iteration each)
@@ -13,19 +14,26 @@
 #   make bench-obs    telemetry-overhead benchmarks (off vs on) -> bench/obs.txt
 #   make bench-smoke  every benchmark once, small cases only (CI)
 #   make smoke-telemetry run the observability example end to end
-#   make check        build + vet + test + fuzz regression + telemetry smoke (CI gate)
+#   make check        build + gofmt + vet + test + fuzz regression + telemetry smoke (CI gate)
+#   make perf         the repo benchmark (BENCHMARK.json) on each of its workloads
 #
 # Benchmark artefacts land in the git-ignored bench/ directory.
 
 GO ?= go
 
-.PHONY: build vet test fuzz-check bench bench-fleet bench-secagg bench-hier bench-async bench-recover bench-obs bench-smoke smoke-telemetry check
+.PHONY: build vet fmt-check test fuzz-check bench bench-fleet bench-secagg bench-hier bench-async bench-recover bench-obs bench-smoke smoke-telemetry check perf
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Lists every unformatted Go file outside the benchmark build directory
+# and fails if there is any.
+fmt-check:
+	@unformatted=$$(find . -name '*.go' -not -path './.bench_build/*' | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test -race ./...
@@ -58,7 +66,16 @@ bench-fleet:
 smoke-telemetry:
 	$(GO) run ./examples/telemetry
 
-check: build vet test fuzz-check smoke-telemetry
+check: build fmt-check vet test fuzz-check smoke-telemetry
+
+# The repo benchmark declared in BENCHMARK.json: perfbench/run.sh on
+# each of its workloads, with the per-layer (traced) pass. PERF_SECONDS
+# shortens a run for a quick look. Minutes, not part of `check`.
+PERF_SECONDS ?= 50
+perf:
+	@for w in fedavg-f64 hier-q8-durable; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds $(PERF_SECONDS) --trace 1 || exit 1; \
+	done
 
 # Privacy-ladder benchmark: plain vs k-regular masked (auto degree,
 # the default) vs legacy full-pairwise vs enclave aggregation at

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -60,38 +61,63 @@ func (a *Aggregator) Add(update []*tensor.Tensor, weight float64) error {
 }
 
 // AccumulateQ8 folds one complete client update that arrived in the
-// lazy q8 wire form, dequantising each element straight into the
-// running sum — no per-client float64 tensors are materialised, which
-// removes the remaining allocation floor of large quantised fleets.
-// The arithmetic is element-for-element identical to materialising the
-// tensors and calling Add: v = lo + q·(scale/2) + q·(scale/2), then
-// sum += weight·v.
-func (a *Aggregator) AccumulateQ8(update []*wire.Q8Tensor, weight float64) error {
-	if len(update) != len(a.ref) {
-		return fmt.Errorf("fl: update has %d tensors, model has %d", len(update), len(a.ref))
+// lazy wire form, decoding each element straight from the frame into
+// the running sum — no per-client float64 tensors are materialised.
+// Despite its name it takes every codec (f64, f32 and q8): it is the
+// one fold path for decoded updates. The arithmetic is element for
+// element that of materialising the tensors (wire.LazyTensor.DecodeInto)
+// and calling Add: sum += weight·v, with v decoded exactly as the eager
+// decoder would (for q8, v = lo + q·(scale/2) + q·(scale/2)).
+func (a *Aggregator) AccumulateQ8(update []*wire.LazyTensor, weight float64) error {
+	if err := checkLazy(a.ref, update, weight); err != nil {
+		return err
 	}
-	if weight <= 0 {
-		return fmt.Errorf("fl: non-positive update weight %v", weight)
-	}
-	for i, q := range update {
-		if q == nil {
-			return fmt.Errorf("fl: update missing tensor %d", i)
-		}
-		if !q.SameShape(a.ref[i]) || len(q.Levels) != a.ref[i].Size() {
-			return fmt.Errorf("fl: update tensor %d has shape %v, want %v", i, q.Shape, a.ref[i].Shape)
-		}
-	}
-	for i, q := range update {
+	for i, t := range update {
 		dst := a.sum[i].Data
-		half := q.Scale / 2
-		lo := q.Lo
-		for j, b := range q.Levels {
-			lvl := float64(b)
-			dst[j] += weight * (lo + lvl*half + lvl*half)
+		src := t.Data
+		switch t.Codec {
+		case wire.CodecF32:
+			src = src[:4*len(dst)]
+			for j := range dst {
+				dst[j] += weight * float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*j:])))
+			}
+		case wire.CodecQ8:
+			lo, half := t.Lo, t.Scale/2
+			dst = dst[:len(src)]
+			for j, b := range src {
+				q := float64(b)
+				dst[j] += weight * (lo + q*half + q*half)
+			}
+		default:
+			src = src[:8*len(dst)]
+			for j := range dst {
+				dst[j] += weight * math.Float64frombits(binary.LittleEndian.Uint64(src[8*j:]))
+			}
 		}
 	}
 	a.weight += weight
 	a.count++
+	return nil
+}
+
+// checkLazy validates a lazy update against the reference shapes before
+// anything is folded, so a rejected update leaves an aggregator as it
+// was.
+func checkLazy(ref []*tensor.Tensor, update []*wire.LazyTensor, weight float64) error {
+	if len(update) != len(ref) {
+		return fmt.Errorf("fl: update has %d tensors, model has %d", len(update), len(ref))
+	}
+	if weight <= 0 {
+		return fmt.Errorf("fl: non-positive update weight %v", weight)
+	}
+	for i, t := range update {
+		if t == nil {
+			return fmt.Errorf("fl: update missing tensor %d", i)
+		}
+		if !t.SameShape(ref[i]) || !t.Valid() {
+			return fmt.Errorf("fl: update tensor %d has shape %v, want %v", i, t.Shape, ref[i].Shape)
+		}
+	}
 	return nil
 }
 

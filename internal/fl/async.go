@@ -9,7 +9,6 @@ import (
 
 	"github.com/gradsec/gradsec/internal/journal"
 	"github.com/gradsec/gradsec/internal/obs"
-	"github.com/gradsec/gradsec/internal/tensor"
 	"github.com/gradsec/gradsec/internal/wire"
 )
 
@@ -234,16 +233,7 @@ func (s *Server) runAsync() error {
 					weight = float64(min(m.Examples, MaxExampleWeight))
 				}
 				weight *= cfg.Discount(staleness)
-				var err error
-				if m.Q8 != nil && len(m.Sealed) == 0 {
-					err = agg.AccumulateQ8(m.Q8, weight)
-				} else {
-					var update []*tensor.Tensor
-					if update, err = s.mergeUpdate(sess, m); err == nil {
-						err = agg.Add(update, weight)
-					}
-				}
-				if err != nil {
+				if err := s.foldUpdate(agg, sess, m, weight); err != nil {
 					s.quarantineAt(sess, version, true, err, &stats, &reasons)
 					if s.cfg.Hooks.UpdatePushed != nil {
 						s.cfg.Hooks.UpdatePushed(version, sess.device, false)

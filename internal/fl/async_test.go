@@ -80,8 +80,9 @@ func (p *asyncPeer) recvModel() *ModelDown {
 // push answers the given model with a constant update trained on it.
 func (p *asyncPeer) push(m *ModelDown, delta float64) {
 	p.t.Helper()
-	upd := make([]*tensor.Tensor, len(m.Plain))
-	for i, w := range m.Plain {
+	model := m.Tensors()
+	upd := make([]*tensor.Tensor, len(model))
+	for i, w := range model {
 		upd[i] = tensor.Full(delta, w.Shape...)
 	}
 	if err := p.conn.Send(&GradUp{Round: m.Round, Plain: upd, Version: m.Version}); err != nil {

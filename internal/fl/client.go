@@ -3,6 +3,7 @@ package fl
 import (
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"github.com/gradsec/gradsec/internal/obs"
@@ -33,6 +34,12 @@ type Trainer interface {
 	// sealed carries the protected parameters for the TA; plan is the
 	// round's protection plan blob. It returns the unprotected updates
 	// (nil at protected positions) and the sealed protected updates.
+	//
+	// plain is valid only until the call returns: the client decodes
+	// each round's model into a pooled buffer and recycles it once the
+	// update is sent. A trainer that needs the weights later copies them
+	// (the returned update may alias plain — it is encoded before the
+	// buffer is recycled).
 	TrainRound(round int, plain []*tensor.Tensor, sealed []byte, plan []byte) (plainUpd []*tensor.Tensor, sealedUpd []byte, err error)
 }
 
@@ -235,7 +242,15 @@ func (c *Client) handleModelDown(m *ModelDown) error {
 	c.Spans.SetTrace(m.Trace)
 	sp := c.Spans.Start("train", m.Round)
 	start := c.now()
-	plainUpd, sealedUpd, err := c.trainer.TrainRound(m.Round, m.Plain, m.Sealed, m.Plan)
+	plain := m.Plain
+	if plain == nil && m.Lazy != nil {
+		// Decode into a pooled model buffer, recycled once the update
+		// is sent (the Trainer contract: plain dies with TrainRound).
+		s := modelSlabs.Get().(*modelSlab)
+		defer modelSlabs.Put(s)
+		plain = s.fill(m.Lazy)
+	}
+	plainUpd, sealedUpd, err := c.trainer.TrainRound(m.Round, plain, m.Sealed, m.Plan)
 	if c.Metrics != nil {
 		c.Metrics.Histogram("gradsec_client_train_ns", "device-side local training latency in nanoseconds").
 			ObserveEx(c.now().Sub(start).Nanoseconds(), m.Round)
@@ -294,6 +309,52 @@ func (c *Client) handleModelDown(m *ModelDown) error {
 	// later hang-up should not be misattributed to it.
 	c.lastTrainErr = nil
 	return nil
+}
+
+// modelSlabs recycles the buffers clients decode each round's model
+// into. The pool is shared by every client in the process: a client
+// holds a slab only while it trains and sends, so a fleet of clients
+// needs about as many slabs as run at once, not one each.
+var modelSlabs = sync.Pool{New: func() any { return new(modelSlab) }}
+
+// modelSlab is one decoded model: a single float64 backing array and
+// the tensor headers viewing it.
+type modelSlab struct {
+	data []float64
+	hdrs []tensor.Tensor
+	ts   []*tensor.Tensor
+}
+
+// fill decodes lazy into the slab, growing the backing only when the
+// model outgrew it, and returns the tensors (nil where lazy is nil).
+func (s *modelSlab) fill(lazy []*wire.LazyTensor) []*tensor.Tensor {
+	n := 0
+	for _, t := range lazy {
+		if t != nil {
+			n += t.Size()
+		}
+	}
+	if cap(s.data) < n {
+		s.data = make([]float64, n)
+	}
+	if cap(s.ts) < len(lazy) {
+		s.hdrs = make([]tensor.Tensor, len(lazy))
+		s.ts = make([]*tensor.Tensor, len(lazy))
+	}
+	s.ts = s.ts[:len(lazy)]
+	off := 0
+	for i, t := range lazy {
+		if t == nil {
+			s.ts[i] = nil
+			continue
+		}
+		data := s.data[off : off+t.Size() : off+t.Size()]
+		t.DecodeInto(data)
+		s.hdrs[i] = tensor.Tensor{Shape: t.Shape, Data: data}
+		s.ts[i] = &s.hdrs[i]
+		off += len(data)
+	}
+	return s.ts
 }
 
 // now reads the client's clock, defaulting to the wall clock.

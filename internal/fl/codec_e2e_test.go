@@ -215,67 +215,77 @@ func TestSealedPayloadsByteIdenticalAcrossCodecs(t *testing.T) {
 	}
 }
 
-// TestAccumulateQ8MatchesMaterialisedFold: folding raw q8 levels must
-// be bit-for-bit the arithmetic of materialising the tensors and
-// calling Add.
+// TestAccumulateQ8MatchesMaterialisedFold: folding a lazily decoded
+// update — under every codec, not only q8 — must be bit-for-bit the
+// arithmetic of materialising the tensors and calling Add.
 func TestAccumulateQ8MatchesMaterialisedFold(t *testing.T) {
 	ref := []*tensor.Tensor{tensor.New(3, 4), tensor.New(7)}
-	encode := func(seed int64) []*wire.Q8Tensor {
-		rng := rand.New(rand.NewSource(seed))
-		upd := make([]*tensor.Tensor, len(ref))
-		for i, r := range ref {
-			upd[i] = tensor.Randn(rng, 1.0, r.Shape...)
+	for _, codec := range []wire.Codec{wire.CodecF64, wire.CodecF32, wire.CodecQ8} {
+		encode := func(seed int64) []*wire.LazyTensor {
+			rng := rand.New(rand.NewSource(seed))
+			upd := make([]*tensor.Tensor, len(ref))
+			for i, r := range ref {
+				upd[i] = tensor.Randn(rng, 1.0, r.Shape...)
+			}
+			w := wire.NewWriter()
+			w.Codec = codec
+			w.TensorList(upd)
+			r := wire.NewReader(w.Bytes())
+			r.Codec = codec
+			return r.LazyTensorList()
 		}
-		w := wire.NewWriter()
-		w.Codec = wire.CodecQ8
-		w.TensorList(upd)
-		r := wire.NewReader(w.Bytes())
-		r.Codec = wire.CodecQ8
-		return r.Q8TensorList()
-	}
 
-	lazy := NewAggregator(ref)
-	eager := NewAggregator(ref)
-	for seed := int64(1); seed <= 5; seed++ {
-		q8 := encode(seed)
-		weight := float64(seed)
-		if err := lazy.AccumulateQ8(q8, weight); err != nil {
-			t.Fatal(err)
-		}
-		mat := make([]*tensor.Tensor, len(q8))
-		for i, q := range q8 {
-			mat[i] = q.Materialise()
-		}
-		if err := eager.Add(mat, weight); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lm, err := lazy.Mean()
-	if err != nil {
-		t.Fatal(err)
-	}
-	em, err := eager.Mean()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref {
-		for j := range lm[i].Data {
-			if lm[i].Data[j] != em[i].Data[j] {
-				t.Fatalf("tensor %d elem %d: lazy %v != eager %v", i, j, lm[i].Data[j], em[i].Data[j])
+		lazy := NewAggregator(ref)
+		eager := NewAggregator(ref)
+		for seed := int64(1); seed <= 5; seed++ {
+			upd := encode(seed)
+			weight := float64(seed)
+			if err := lazy.AccumulateQ8(upd, weight); err != nil {
+				t.Fatal(err)
+			}
+			mat := make([]*tensor.Tensor, len(upd))
+			for i, q := range upd {
+				mat[i] = q.Materialise()
+			}
+			if err := eager.Add(mat, weight); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}
-	// Validation parity with Add.
-	if err := lazy.AccumulateQ8(encode(9)[:1], 1); err == nil {
-		t.Fatal("short q8 update must be rejected")
-	}
-	if err := lazy.AccumulateQ8(encode(9), 0); err == nil {
-		t.Fatal("zero weight must be rejected")
-	}
-	bad := encode(9)
-	bad[0] = nil
-	if err := lazy.AccumulateQ8(bad, 1); err == nil {
-		t.Fatal("nil q8 tensor must be rejected")
+		lm, err := lazy.Mean()
+		if err != nil {
+			t.Fatal(err)
+		}
+		em, err := eager.Mean()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ref {
+			for j := range lm[i].Data {
+				if lm[i].Data[j] != em[i].Data[j] {
+					t.Fatalf("%s: tensor %d elem %d: lazy %v != eager %v", codec, i, j, lm[i].Data[j], em[i].Data[j])
+				}
+			}
+		}
+		// Validation parity with Add.
+		if err := lazy.AccumulateQ8(encode(9)[:1], 1); err == nil {
+			t.Fatalf("%s: short update must be rejected", codec)
+		}
+		if err := lazy.AccumulateQ8(encode(9), 0); err == nil {
+			t.Fatalf("%s: zero weight must be rejected", codec)
+		}
+		bad := encode(9)
+		bad[0] = nil
+		if err := lazy.AccumulateQ8(bad, 1); err == nil {
+			t.Fatalf("%s: nil tensor must be rejected", codec)
+		}
+		short := encode(9)
+		short[1] = &wire.LazyTensor{Shape: short[1].Shape, Codec: codec, Data: short[1].Data[:1]}
+		if err := lazy.AccumulateQ8(short, 1); err == nil {
+			t.Fatalf("%s: truncated payload must be rejected", codec)
+		}
+		if lazy.Count() != 5 {
+			t.Fatalf("%s: rejected updates changed the count to %d", codec, lazy.Count())
+		}
 	}
 }
 

@@ -10,6 +10,7 @@
 package fl
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"github.com/gradsec/gradsec/internal/secagg"
@@ -225,9 +226,15 @@ func (m *Reject) decode(r *wire.Reader) { m.Reason = r.String() }
 // Round, in asynchronous sessions it counts buffered applications — and
 // the client echoes it back in GradUp.Version so the server can compute
 // the update's staleness.
+//
+// Plain is what a sender fills; a decoded ModelDown carries its tensors
+// in Lazy instead — views into the frame, under any codec — and leaves
+// Plain nil. Tensors() materialises either form; fl.Client decodes Lazy
+// into a pooled model buffer.
 type ModelDown struct {
 	Round   int
 	Plain   []*tensor.Tensor
+	Lazy    []*wire.LazyTensor
 	Sealed  []byte
 	Plan    []byte
 	Cohort  []secagg.Peer
@@ -250,9 +257,56 @@ type ModelDown struct {
 // Kind implements Message.
 func (*ModelDown) Kind() MsgType { return MsgModelDown }
 
+// Tensors returns the model tensors, materialising the lazy form if
+// that is what arrived.
+func (m *ModelDown) Tensors() []*tensor.Tensor { return materialise(m.Plain, m.Lazy) }
+
+// materialise returns plain, or fresh tensors decoded from lazy when
+// plain is nil (a decoded message).
+func materialise(plain []*tensor.Tensor, lazy []*wire.LazyTensor) []*tensor.Tensor {
+	if plain != nil || lazy == nil {
+		return plain
+	}
+	out := make([]*tensor.Tensor, len(lazy))
+	for i, t := range lazy {
+		if t != nil {
+			out[i] = t.Materialise()
+		}
+	}
+	return out
+}
+
+// encodeTensors writes plain, or re-encodes lazy when plain is nil.
+func encodeTensors(w *wire.Writer, plain []*tensor.Tensor, lazy []*wire.LazyTensor) {
+	if plain == nil && lazy != nil {
+		w.LazyTensorList(lazy)
+	} else {
+		w.TensorList(plain)
+	}
+}
+
+// tensorsSize is the encoded size of what encodeTensors writes.
+func tensorsSize(plain []*tensor.Tensor, lazy []*wire.LazyTensor, c wire.Codec) int {
+	if plain == nil && lazy != nil {
+		return wire.LazyTensorListSize(lazy, c)
+	}
+	return wire.TensorListSize(plain, c)
+}
+
+// varints bounds the encoded size of a message's n scalar varint fields.
+func varints(n int) int { return n * binary.MaxVarintLen64 }
+
+func (m *ModelDown) size(c wire.Codec) int {
+	n := varints(6) + tensorsSize(m.Plain, m.Lazy, c) + wire.BlobSize(m.Sealed) + wire.BlobSize(m.Plan)
+	for _, p := range m.Cohort {
+		n += varints(2) + len(p.Device) + len(p.Pub)
+	}
+	return n
+}
+
 func (m *ModelDown) encode(w *wire.Writer) {
 	w.Uvarint(uint64(m.Round))
-	w.TensorList(m.Plain)
+	encodeTensors(w, m.Plain, m.Lazy)
 	w.Blob(m.Sealed)
 	w.Blob(m.Plan)
 	w.Uvarint(uint64(len(m.Cohort)))
@@ -267,7 +321,7 @@ func (m *ModelDown) encode(w *wire.Writer) {
 
 func (m *ModelDown) decode(r *wire.Reader) {
 	m.Round = int(r.Uvarint())
-	m.Plain = r.TensorList()
+	m.Lazy = r.LazyTensorList()
 	m.Sealed = r.Blob()
 	m.Plan = r.Blob()
 	if r.Err() != nil || r.Remaining() == 0 {
@@ -350,19 +404,23 @@ func decodePeerList(r *wire.Reader) []secagg.Peer {
 // the clear, protected ones sealed. Examples carries the size of the
 // client's local training set; when positive the server uses it as the
 // FedAvg weight (0 — including pre-codec peers — means unit weight).
-//
-// Under CodecQ8 the decode is lazy: the update arrives as Q8 (raw
-// quantisation levels, Plain nil) so the aggregator can fold levels
-// directly (Aggregator.AccumulateQ8) without materialising a per-client
-// float64 model. Tensors() converts on demand.
 // Version echoes the ModelDown.Version the update was trained against.
 // The asynchronous engine derives the update's staleness from it (the
 // difference against the current model version); the round-synchronous
 // engine ignores it.
+//
+// Plain is what a sender fills. A decoded GradUp leaves Plain nil and
+// carries its tensors, under every codec, in the lazy field Q8: views
+// into the frame (wire.LazyTensor) that the aggregator folds without
+// materialising a per-client float64 model
+// (Aggregator.AccumulateQ8). Despite its name the field is
+// codec-generic, as is AccumulateQ8; both keep their names because the
+// benchmark harness compiles against them. Tensors() materialises
+// either form on demand.
 type GradUp struct {
 	Round    int
 	Plain    []*tensor.Tensor
-	Q8       []*wire.Q8Tensor
+	Q8       []*wire.LazyTensor
 	Sealed   []byte
 	Examples uint64
 	Version  uint64
@@ -377,29 +435,17 @@ type GradUp struct {
 // Kind implements Message.
 func (*GradUp) Kind() MsgType { return MsgGradUp }
 
-// Tensors returns the plain update tensors, materialising the lazy q8
-// form if that is what arrived.
-func (m *GradUp) Tensors() []*tensor.Tensor {
-	if m.Plain != nil || m.Q8 == nil {
-		return m.Plain
-	}
-	out := make([]*tensor.Tensor, len(m.Q8))
-	for i, q := range m.Q8 {
-		if q != nil {
-			out[i] = q.Materialise()
-		}
-	}
-	return out
+// Tensors returns the plain update tensors, materialising the lazy form
+// if that is what arrived.
+func (m *GradUp) Tensors() []*tensor.Tensor { return materialise(m.Plain, m.Q8) }
+
+func (m *GradUp) size(c wire.Codec) int {
+	return varints(3) + tensorsSize(m.Plain, m.Q8, c) + wire.BlobSize(m.Sealed) + wire.BlobSize(m.Telemetry)
 }
 
 func (m *GradUp) encode(w *wire.Writer) {
 	w.Uvarint(uint64(m.Round))
-	if m.Plain == nil && m.Q8 != nil {
-		// Re-encoding a lazily decoded update: emit the levels verbatim.
-		w.Q8TensorListRaw(m.Q8)
-	} else {
-		w.TensorList(m.Plain)
-	}
+	encodeTensors(w, m.Plain, m.Q8)
 	w.Blob(m.Sealed)
 	w.Uvarint(m.Examples)
 	w.Uvarint(m.Version)
@@ -408,11 +454,7 @@ func (m *GradUp) encode(w *wire.Writer) {
 
 func (m *GradUp) decode(r *wire.Reader) {
 	m.Round = int(r.Uvarint())
-	if r.Codec == wire.CodecQ8 {
-		m.Q8 = r.Q8TensorList()
-	} else {
-		m.Plain = r.TensorList()
-	}
+	m.Q8 = r.LazyTensorList()
 	m.Sealed = r.Blob()
 	if r.Err() == nil && r.Remaining() > 0 {
 		m.Examples = r.Uvarint()
@@ -433,6 +475,7 @@ type Done struct {
 // Kind implements Message.
 func (*Done) Kind() MsgType { return MsgDone }
 
+func (m *Done) size(c wire.Codec) int { return wire.TensorListSize(m.Final, c) }
 func (m *Done) encode(w *wire.Writer) { w.TensorList(m.Final) }
 func (m *Done) decode(r *wire.Reader) { m.Final = r.TensorList() }
 
@@ -471,6 +514,14 @@ type MaskedUp struct {
 
 // Kind implements Message.
 func (*MaskedUp) Kind() MsgType { return MsgMaskedUp }
+
+func (m *MaskedUp) size(wire.Codec) int {
+	n := varints(3) + wire.U64TensorListSize(m.Levels) + wire.BlobSize(m.Sealed)
+	for _, s := range m.Shares {
+		n += varints(2) + len(s.To) + len(s.Blob)
+	}
+	return n
+}
 
 func (m *MaskedUp) encode(w *wire.Writer) {
 	w.Uvarint(uint64(m.Round))
@@ -641,6 +692,8 @@ type ShardDown struct {
 // Kind implements Message.
 func (*ShardDown) Kind() MsgType { return MsgShardDown }
 
+func (m *ShardDown) size(c wire.Codec) int { return varints(2) + wire.TensorListSize(m.Model, c) }
+
 func (m *ShardDown) encode(w *wire.Writer) {
 	w.Uvarint(uint64(m.Round))
 	w.TensorList(m.Model)
@@ -701,6 +754,11 @@ type PartialUp struct {
 
 // Kind implements Message.
 func (*PartialUp) Kind() MsgType { return MsgPartialUp }
+
+func (m *PartialUp) size(wire.Codec) int {
+	// Nine varints and the float64 weight.
+	return varints(10) + wire.TensorListSize(m.Sum, wire.CodecF64) + wire.U64TensorListSize(m.Levels) + wire.BlobSize(m.Telemetry)
+}
 
 func (m *PartialUp) encode(w *wire.Writer) {
 	w.Uvarint(uint64(m.Round))
@@ -775,13 +833,31 @@ func (m *CodecSwitch) decode(r *wire.Reader) { m.Codec = wire.Codec(r.Uvarint())
 // with the uncompressed f64 tensor codec.
 func EncodeMessage(m Message) []byte { return EncodeMessageCodec(m, wire.CodecF64) }
 
+// sizedMessage is implemented by the tensor-carrying messages: size
+// bounds the encoded payload under codec c from above (tightly — it
+// over-counts only scalar varints), so encoders reserve it up front
+// and write the tensors without reallocating.
+type sizedMessage interface {
+	size(c wire.Codec) int
+}
+
+// encodedSize returns m's reserved payload size, 0 for messages too
+// small to bother.
+func encodedSize(m Message, c wire.Codec) int {
+	if sm, ok := m.(sizedMessage); ok {
+		return sm.size(c)
+	}
+	return 0
+}
+
 // EncodeMessageCodec serialises a message with the given tensor codec.
 // The payload escapes to the caller (pipe frames, broadcast caches), so
-// a fresh buffer is allocated rather than draining the writer pool —
-// pooled buffer reuse belongs to the TCP send path, where frames are
-// written out and released immediately.
+// it is one freshly allocated buffer, sized for the message up front,
+// rather than a buffer drained from the writer pool — pooled buffer
+// reuse belongs to the TCP send path, where frames are written out and
+// released immediately.
 func EncodeMessageCodec(m Message, codec wire.Codec) []byte {
-	w := wire.NewWriter()
+	w := wire.NewWriterSize(encodedSize(m, codec))
 	w.Codec = codec
 	m.encode(w)
 	return w.Bytes()
@@ -794,8 +870,11 @@ func DecodeMessage(mt MsgType, payload []byte) (Message, error) {
 }
 
 // DecodeMessageCodec reconstructs a message whose tensors were encoded
-// with the given codec. The payload is fully copied out: it may be
-// reused by the caller immediately after.
+// with the given codec. ModelDown and GradUp keep their tensors as lazy
+// views into payload (see retainsPayload): the caller must leave the
+// payload untouched for as long as it holds either message. Every
+// other message copies what it keeps, so its payload may be reused
+// immediately after.
 func DecodeMessageCodec(mt MsgType, payload []byte, codec wire.Codec) (Message, error) {
 	var m Message
 	switch mt {
@@ -836,6 +915,10 @@ func DecodeMessageCodec(mt MsgType, payload []byte, codec wire.Codec) (Message, 
 	}
 	return m, nil
 }
+
+// retainsPayload reports whether a decoded message of type mt holds
+// views into its frame payload.
+func retainsPayload(mt MsgType) bool { return mt == MsgModelDown || mt == MsgGradUp }
 
 // SealedUpdate encodes indexed tensors for transport inside a trusted
 // channel: count, then (flatIndex, tensor) pairs. The sealed path always

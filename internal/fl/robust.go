@@ -84,9 +84,9 @@ var (
 type UpdateAggregator interface {
 	// Add folds one complete client update with the given weight.
 	Add(update []*tensor.Tensor, weight float64) error
-	// AccumulateQ8 folds one update that arrived in the lazy q8 wire
-	// form.
-	AccumulateQ8(update []*wire.Q8Tensor, weight float64) error
+	// AccumulateQ8 folds one update that arrived in the lazy wire form,
+	// under any codec (the name predates the f64 and f32 lazy forms).
+	AccumulateQ8(update []*wire.LazyTensor, weight float64) error
 	// Count returns the number of folded updates.
 	Count() int
 	// Weight returns the summed weight of the folded updates.
@@ -135,9 +135,10 @@ func (s *Server) validateAggregation() error {
 
 // robustAggregator buffers the cohort's updates and aggregates
 // coordinate-wise at Mean time. Updates are retained as handed to Add
-// (the decoder allocates fresh tensors per arrival, so no copy is
-// needed). Weights are summed for trace accounting but deliberately do
-// not influence the aggregate.
+// (mergeUpdate materialises fresh tensors per arrival, so no copy is
+// needed); lazy ones are materialised by AccumulateQ8. Weights are
+// summed for trace accounting but deliberately do not influence the
+// aggregate.
 type robustAggregator struct {
 	ref     []*tensor.Tensor
 	updates [][]*tensor.Tensor
@@ -179,19 +180,17 @@ func (a *robustAggregator) Add(update []*tensor.Tensor, weight float64) error {
 	return nil
 }
 
-// AccumulateQ8 implements UpdateAggregator by materialising the q8
-// tensors — robust methods need every coordinate in float form, so the
-// lazy-fold optimisation does not apply.
-func (a *robustAggregator) AccumulateQ8(update []*wire.Q8Tensor, weight float64) error {
-	err := a.validate(len(update), func(i int) bool {
-		return update[i] != nil && update[i].SameShape(a.ref[i]) && len(update[i].Levels) == a.ref[i].Size()
-	}, weight)
-	if err != nil {
+// AccumulateQ8 implements UpdateAggregator by materialising the lazy
+// tensors — robust methods need every coordinate in float form and
+// retain the update past the frame's lifetime, so the lazy fold does
+// not apply.
+func (a *robustAggregator) AccumulateQ8(update []*wire.LazyTensor, weight float64) error {
+	if err := checkLazy(a.ref, update, weight); err != nil {
 		return err
 	}
 	mat := make([]*tensor.Tensor, len(update))
-	for i, q := range update {
-		mat[i] = q.Materialise()
+	for i, t := range update {
+		mat[i] = t.Materialise()
 	}
 	a.updates = append(a.updates, mat)
 	a.weight += weight

@@ -134,8 +134,8 @@ func TestRobustAccumulateQ8Materialises(t *testing.T) {
 	a := newRobustAggregator(oneTensor(0, 0), AggMedian, 0)
 	// Constant tensors (Scale 0) dequantise exactly to Lo.
 	for _, v := range []float64{-2, 0, 2} {
-		q := &wire.Q8Tensor{Shape: []int{2}, Lo: v, Levels: []byte{0, 0}}
-		if err := a.AccumulateQ8([]*wire.Q8Tensor{q}, 1); err != nil {
+		q := &wire.LazyTensor{Shape: []int{2}, Codec: wire.CodecQ8, Lo: v, Data: []byte{0, 0}}
+		if err := a.AccumulateQ8([]*wire.LazyTensor{q}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,8 +149,8 @@ func TestRobustAccumulateQ8Materialises(t *testing.T) {
 	if a.Count() != 3 {
 		t.Fatalf("count = %d, want 3", a.Count())
 	}
-	bad := &wire.Q8Tensor{Shape: []int{3}, Levels: []byte{0, 0, 0}}
-	if err := a.AccumulateQ8([]*wire.Q8Tensor{bad}, 1); err == nil {
+	bad := &wire.LazyTensor{Shape: []int{3}, Codec: wire.CodecQ8, Data: []byte{0, 0, 0}}
+	if err := a.AccumulateQ8([]*wire.LazyTensor{bad}, 1); err == nil {
 		t.Fatal("accepted q8 shape mismatch")
 	}
 }

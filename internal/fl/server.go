@@ -1462,20 +1462,7 @@ func (s *Server) handleArrival(round int, a arrival, pending map[*session]bool, 
 		if m.Examples > 0 {
 			weight = float64(min(m.Examples, MaxExampleWeight))
 		}
-		// A purely-plain update that arrived in the lazy q8 form folds
-		// its levels straight into the running sum — no per-client
-		// float64 model is ever materialised. Updates with a sealed half
-		// take the merge path (the sealed tensors are f64 anyway).
-		var err error
-		if m.Q8 != nil && len(m.Sealed) == 0 {
-			err = agg.AccumulateQ8(m.Q8, weight)
-		} else {
-			var update []*tensor.Tensor
-			if update, err = s.mergeUpdate(sess, m); err == nil {
-				err = agg.Add(update, weight)
-			}
-		}
-		if err != nil {
+		if err := s.foldUpdate(agg, sess, m, weight); err != nil {
 			delete(pending, sess)
 			s.quarantineAt(sess, round, true, err, stats, reasons)
 			return
@@ -1530,6 +1517,21 @@ func (s *Server) buildModelDown(round int, sess *session, protected map[int]bool
 		down.Sealed = sess.channel.Seal(SealedUpdate(secretIdx, secretTs))
 	}
 	return down, nil
+}
+
+// foldUpdate folds one client update into agg. A purely-plain decoded
+// update folds straight from its frame, under any codec — no
+// per-client float64 model is ever materialised. Updates with a sealed
+// half take the merge path (the sealed tensors are f64 anyway).
+func (s *Server) foldUpdate(agg UpdateAggregator, sess *session, m *GradUp, weight float64) error {
+	if m.Q8 != nil && len(m.Sealed) == 0 {
+		return agg.AccumulateQ8(m.Q8, weight)
+	}
+	update, err := s.mergeUpdate(sess, m)
+	if err != nil {
+		return err
+	}
+	return agg.Add(update, weight)
 }
 
 // mergeUpdate reassembles a client's full flat update from its plain and

@@ -1,6 +1,8 @@
 package fl
 
 import (
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -127,6 +129,84 @@ func TestTCPSessionMatchesInMemorySession(t *testing.T) {
 			}
 			if got := viaPipe[0].Data[0]; got != want {
 				t.Fatalf("final state = %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestTCPQueuedUpdatesKeepTheirPayloads: decoded GradUps hold views
+// into their frames, so a TCP connection must not read the next frame
+// into the buffer the previous update still points at. Two same-sized
+// updates are queued and both received before the first is folded;
+// the fold must be bit for bit the first update's own values.
+func TestTCPQueuedUpdatesKeepTheirPayloads(t *testing.T) {
+	for _, codec := range []wire.Codec{wire.CodecF64, wire.CodecF32, wire.CodecQ8} {
+		t.Run(codec.String(), func(t *testing.T) {
+			l, err := Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			client, err := Dial(l.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			server, err := l.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer server.Close()
+			client.SetCodec(codec)
+			server.SetCodec(codec)
+
+			ref := []*tensor.Tensor{tensor.New(16, 8), tensor.New(5)}
+			updates := make([][]*tensor.Tensor, 2)
+			for k := range updates {
+				rng := rand.New(rand.NewSource(int64(k + 1)))
+				for _, r := range ref {
+					updates[k] = append(updates[k], tensor.Randn(rng, 1, r.Shape...))
+				}
+			}
+			sendErr := make(chan error, 1)
+			go func() {
+				for _, u := range updates {
+					if err := client.Send(&GradUp{Round: 1, Plain: u}); err != nil {
+						sendErr <- err
+						return
+					}
+				}
+				sendErr <- nil
+			}()
+			var got []*GradUp
+			for range updates {
+				m, err := server.Recv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, m.(*GradUp))
+			}
+			if err := <-sendErr; err != nil {
+				t.Fatal(err)
+			}
+			for k, up := range got {
+				// The expected values decode from a private copy of the
+				// update's own encoding.
+				want, err := DecodeMessageCodec(MsgGradUp, EncodeMessageCodec(&GradUp{Round: 1, Plain: updates[k]}, codec), codec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				agg := NewAggregator(ref)
+				if err := agg.AccumulateQ8(up.Q8, 1); err != nil {
+					t.Fatal(err)
+				}
+				for i, w := range want.(*GradUp).Tensors() {
+					for j, v := range w.Data {
+						if g := agg.Sum()[i].Data[j]; math.Float64bits(g) != math.Float64bits(v) {
+							t.Fatalf("update %d tensor %d elem %d folded as %v, want %v", k, i, j, g, v)
+						}
+					}
+				}
 			}
 		})
 	}

@@ -148,9 +148,10 @@ func (c *pipeConn) Send(m Message) error {
 	return c.SendFrame(m.Kind(), EncodeMessageCodec(m, wire.Codec(c.sendCodec.Load())))
 }
 
-// SendFrame implements Conn. The payload travels by reference: the
-// receiver's decode copies everything out, so sharing one payload
-// across many pipes is safe as long as no sender mutates it.
+// SendFrame implements Conn. The payload travels by reference and the
+// receiver's decode may keep views into it (ModelDown and GradUp
+// tensors), so sharing one payload across many pipes is safe only
+// because no sender mutates it afterwards.
 func (c *pipeConn) SendFrame(mt MsgType, payload []byte) error {
 	// Check for closure first: the select below would otherwise pick the
 	// (buffered) send case at random even when already closed.
@@ -209,9 +210,11 @@ func (c *pipeConn) Close() error {
 }
 
 // tcpConn adapts a net.Conn to the Message framing. Outgoing messages
-// are encoded into a pooled buffer and written with a single Write;
-// incoming frames decode from a per-connection scratch buffer, so a
-// steady session allocates only the decoded messages themselves.
+// are encoded into a pooled buffer, sized up front, and written with a
+// single Write; incoming frames decode from a per-connection scratch
+// buffer. A frame whose message keeps views into its payload (ModelDown,
+// GradUp) takes the scratch with it, and the next frame reads into a
+// fresh one.
 type tcpConn struct {
 	nc        net.Conn
 	writeMu   sync.Mutex
@@ -271,8 +274,9 @@ func (c *tcpConn) armWriteDeadline() {
 // Send implements Conn: encode into a pooled frame buffer, one Write.
 func (c *tcpConn) Send(m Message) error {
 	w := wire.GetWriter()
-	w.BeginFrame(byte(m.Kind()))
 	w.Codec = wire.Codec(c.sendCodec.Load())
+	w.Reserve(5 + encodedSize(m, w.Codec))
+	w.BeginFrame(byte(m.Kind()))
 	m.encode(w)
 	buf, err := w.Frame()
 	if err == nil {
@@ -324,10 +328,15 @@ func (c *tcpConn) Recv() (Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Keep the grown scratch for the next frame, but never pin more
-	// than maxReadScratch per connection: one huge frame must not hold
-	// its capacity for the connection's lifetime.
-	if cap(payload) > cap(c.readBuf) && cap(payload) <= maxReadScratch {
+	switch {
+	case retainsPayload(MsgType(mt)):
+		// The decoded message keeps views into payload: hand it over
+		// and read the next frame into a fresh buffer.
+		c.readBuf = nil
+	case cap(payload) > cap(c.readBuf) && cap(payload) <= maxReadScratch:
+		// Keep the grown scratch for the next frame, but never pin
+		// more than maxReadScratch per connection: one huge frame must
+		// not hold its capacity for the connection's lifetime.
 		c.readBuf = payload
 	}
 	codec := wire.Codec(c.recvCodec.Load())

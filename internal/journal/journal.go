@@ -324,12 +324,17 @@ func (j *Journal) Close() error {
 	return j.err
 }
 
+// recordFields bounds the encoded size of a record's scalar fields and
+// length prefixes (at most 16 varints or float64s).
+const recordFields = 16 * binary.MaxVarintLen64
+
 // encodeRecord serialises a record payload (type byte + fields).
 // Tensors always travel uncompressed f64 — a journal is a durability
 // artefact, not a bandwidth-constrained link, and replay must be
-// bit-exact.
+// bit-exact. The buffer is sized up front: round records carry the
+// model update.
 func encodeRecord(rec *Record) []byte {
-	w := wire.NewWriter()
+	w := wire.NewWriterSize(recordFields + len(rec.Device) + len(rec.MaskPub) + wire.TensorListSize(rec.Update, wire.CodecF64))
 	w.Codec = wire.CodecF64
 	w.Uvarint(uint64(rec.Type))
 	switch rec.Type {

@@ -36,10 +36,10 @@ type ClientSession struct {
 	// update was masked under and the roles already conceded per peer.
 	// A peer may be treated as dropped or as surviving in a round —
 	// never both (ErrRoleConflict).
-	round  int
-	graph  *Graph
-	peers  map[string]Peer
-	roles  map[string]int
+	round int
+	graph *Graph
+	peers map[string]Peer
+	roles map[string]int
 }
 
 const (

@@ -68,23 +68,6 @@ func (w *Writer) appendFloat32s(fs []float64) {
 	}
 }
 
-// float32sInto bulk-decodes len(dst) little-endian float32 values.
-func (r *Reader) float32sInto(dst []float64) {
-	if r.err != nil {
-		return
-	}
-	need := 4 * len(dst)
-	if len(r.buf)-r.off < need {
-		r.fail("float32s payload")
-		return
-	}
-	src := r.buf[r.off : r.off+need]
-	for i := range dst {
-		dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
-	}
-	r.off += need
-}
-
 // appendQ8 appends the q8 encoding of fs: min, scale, then one level
 // byte per element where v ≈ min + level·scale. The scale spans the
 // tensor's own value range, so constant tensors encode exactly and the
@@ -126,27 +109,4 @@ func (w *Writer) appendQ8(fs []float64) {
 		}
 		dst[i] = byte(q)
 	}
-}
-
-// q8Into decodes len(dst) q8 levels written by appendQ8.
-func (r *Reader) q8Into(dst []float64) {
-	if r.err != nil {
-		return
-	}
-	need := q8Header + len(dst)
-	if len(r.buf)-r.off < need {
-		r.fail("q8 payload")
-		return
-	}
-	lo := r.Float64()
-	// Reconstruct in two half-steps: for full-range tensors q·scale can
-	// overflow even though lo + q·scale is finite, while every partial
-	// sum of lo + q·half + q·half stays within [lo, hi].
-	half := r.Float64() / 2
-	src := r.buf[r.off : r.off+len(dst)]
-	for i := range dst {
-		q := float64(src[i])
-		dst[i] = lo + q*half + q*half
-	}
-	r.off += len(dst)
 }

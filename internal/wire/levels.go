@@ -31,10 +31,7 @@ func (w *Writer) U64Tensor(t *U64Tensor) {
 		w.Uvarint(0xFF)
 		return
 	}
-	w.Uvarint(uint64(len(t.Shape)))
-	for _, d := range t.Shape {
-		w.Uvarint(uint64(d))
-	}
+	w.shape(t.Shape)
 	dst := w.grow(8 * len(t.Levels))
 	for i, v := range t.Levels {
 		binary.LittleEndian.PutUint64(dst[8*i:8*i+8], v)
@@ -48,6 +45,20 @@ func (w *Writer) U64TensorList(ts []*U64Tensor) {
 	for _, t := range ts {
 		w.U64Tensor(t)
 	}
+}
+
+// U64TensorListSize returns the bytes Writer.U64TensorList appends for
+// ts.
+func U64TensorListSize(ts []*U64Tensor) int {
+	n := uvarintSize(uint64(len(ts)))
+	for _, t := range ts {
+		if t == nil {
+			n += uvarintSize(0xFF)
+			continue
+		}
+		n += shapeSize(t.Shape) + 8*len(t.Levels)
+	}
+	return n
 }
 
 // U64Tensor reads a level tensor; returns nil for the nil marker.

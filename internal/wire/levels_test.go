@@ -61,7 +61,7 @@ func TestU64TensorCorruptInputs(t *testing.T) {
 	}
 }
 
-// TestQ8LazyMatchesEagerDecode: the lazy Q8Tensor representation must
+// TestQ8LazyMatchesEagerDecode: the lazy q8 LazyTensor must
 // materialise to exactly the tensor the eager q8 decode produces, and
 // its verbatim re-encode must be byte-identical.
 func TestQ8LazyMatchesEagerDecode(t *testing.T) {
@@ -84,7 +84,7 @@ func TestQ8LazyMatchesEagerDecode(t *testing.T) {
 
 	lazy := NewReader(encoded)
 	lazy.Codec = CodecQ8
-	got := lazy.Q8TensorList()
+	got := lazy.LazyTensorList()
 	if err := lazy.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestQ8LazyMatchesEagerDecode(t *testing.T) {
 
 	w2 := NewWriter()
 	w2.Codec = CodecQ8
-	w2.Q8TensorListRaw(got)
+	w2.LazyTensorList(got)
 	if string(w2.Bytes()) != string(encoded) {
 		t.Fatal("verbatim re-encode diverged from the original bytes")
 	}
@@ -116,7 +116,8 @@ func TestQ8LazyMatchesEagerDecode(t *testing.T) {
 
 func TestQ8LazyCorruptInputs(t *testing.T) {
 	r := NewReader([]byte{1, 2, 0, 0}) // rank 1, dim 2, truncated header
-	if r.Q8Tensor(); r.Err() == nil {
+	r.Codec = CodecQ8
+	if r.LazyTensor(); r.Err() == nil {
 		t.Fatal("truncated q8 tensor must fail")
 	}
 }

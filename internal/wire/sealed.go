@@ -13,7 +13,11 @@ import (
 // server-side aggregation enclave (internal/secagg) can parse sealed
 // blobs without depending on the protocol package.)
 func EncodeSealedUpdate(idx []int, ts []*tensor.Tensor) []byte {
-	w := NewWriter()
+	n := uvarintSize(uint64(len(idx))) + TensorListSize(ts, CodecF64)
+	for _, id := range idx {
+		n += uvarintSize(uint64(id))
+	}
+	w := NewWriterSize(n)
 	w.Uvarint(uint64(len(idx)))
 	for i, id := range idx {
 		w.Uvarint(uint64(id))

@@ -26,12 +26,24 @@
 // tensor encoding is not self-describing; that keeps CodecF64 output
 // bit-identical to the pre-codec protocol.
 //
-// # Buffer reuse
+// # Buffer reuse and lazy tensors
 //
-// Writers are poolable: GetWriter/PutWriter recycle encode buffers, and
+// Encoders size their buffer once: TensorListSize, LazyTensorListSize,
+// U64TensorListSize and BlobSize give a message's encoded length up
+// front, and NewWriterSize/Writer.Reserve allocate it in one step, so a
+// tensor payload is written without a single reallocation. Writers are
+// poolable: GetWriter/PutWriter recycle encode buffers, and
 // Writer.Detach hands off an encoded payload while returning the Writer
-// to the pool. ReadFrameInto decodes frames into a caller-owned scratch
-// buffer so a long-lived connection performs no per-frame allocation.
+// to the pool.
+//
+// Decoders need not copy tensors out of a frame at all. LazyTensor
+// holds a tensor's shape, codec and q8 header plus a read-only view of
+// its element bytes in the frame, so an update can be folded or
+// materialised into a caller-owned buffer straight from the payload.
+// The price is ownership: a frame whose tensors are held lazily must
+// stay alive and unmodified until they are released, so a connection
+// that reuses its read scratch (ReadFrameInto) must hand such a payload
+// over instead of reading the next frame into it.
 package wire
 
 import (
@@ -40,6 +52,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sync"
 
 	"github.com/gradsec/gradsec/internal/tensor"
@@ -70,6 +83,11 @@ type Writer struct {
 
 // NewWriter returns an empty writer.
 func NewWriter() *Writer { return &Writer{} }
+
+// NewWriterSize returns an empty writer whose buffer already holds n
+// bytes of capacity — the encoded size of the message about to be
+// written, so encoding never reallocates.
+func NewWriterSize(n int) *Writer { return &Writer{buf: make([]byte, 0, n)} }
 
 // writerPool recycles Writers (and their buffers) across messages.
 var writerPool = sync.Pool{New: func() any { return new(Writer) }}
@@ -115,13 +133,50 @@ func (w *Writer) Detach() []byte {
 	return b
 }
 
+// Reserve makes room for n more bytes in one allocation, so the next n
+// bytes of encoding append without reallocating.
+func (w *Writer) Reserve(n int) {
+	if cap(w.buf)-len(w.buf) < n {
+		nb := make([]byte, len(w.buf), len(w.buf)+n)
+		copy(nb, w.buf)
+		w.buf = nb
+	}
+}
+
+// uvarintSize returns the encoded length of v as an unsigned varint.
+func uvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// BlobSize returns the bytes Writer.Blob appends for b.
+func BlobSize(b []byte) int { return uvarintSize(uint64(len(b))) + len(b) }
+
+// shapeSize returns the encoded length of a tensor's rank and dims.
+func shapeSize(shape []int) int {
+	n := uvarintSize(uint64(len(shape)))
+	for _, d := range shape {
+		n += uvarintSize(uint64(d))
+	}
+	return n
+}
+
+// TensorListSize returns the bytes Writer.TensorList appends for ts
+// under codec c.
+func TensorListSize(ts []*tensor.Tensor, c Codec) int {
+	n := uvarintSize(uint64(len(ts)))
+	for _, t := range ts {
+		if t == nil {
+			n += uvarintSize(0xFF)
+			continue
+		}
+		n += shapeSize(t.Shape) + c.payloadSize(len(t.Data))
+	}
+	return n
+}
+
 // grow extends the buffer by n bytes in one step and returns the newly
 // appended region, amortising capacity doubling across bulk writes.
 func (w *Writer) grow(n int) []byte {
 	if cap(w.buf)-len(w.buf) < n {
-		nb := make([]byte, len(w.buf), max(2*cap(w.buf), len(w.buf)+n))
-		copy(nb, w.buf)
-		w.buf = nb
+		w.Reserve(max(2*cap(w.buf)-len(w.buf), n)) // capacity doubles
 	}
 	off := len(w.buf)
 	w.buf = w.buf[:off+n]
@@ -179,10 +234,7 @@ func (w *Writer) Tensor(t *tensor.Tensor) {
 		w.Uvarint(0xFF)
 		return
 	}
-	w.Uvarint(uint64(len(t.Shape)))
-	for _, d := range t.Shape {
-		w.Uvarint(uint64(d))
-	}
+	w.shape(t.Shape)
 	switch w.Codec {
 	case CodecF32:
 		w.appendFloat32s(t.Data)
@@ -190,6 +242,14 @@ func (w *Writer) Tensor(t *tensor.Tensor) {
 		w.appendQ8(t.Data)
 	default:
 		w.appendFloat64s(t.Data)
+	}
+}
+
+// shape appends a tensor's rank and dims.
+func (w *Writer) shape(shape []int) {
+	w.Uvarint(uint64(len(shape)))
+	for _, d := range shape {
+		w.Uvarint(uint64(d))
 	}
 }
 
@@ -352,28 +412,10 @@ func (r *Reader) Float64s() []float64 {
 		return nil
 	}
 	out := make([]float64, n)
-	r.float64sInto(out)
-	if r.err != nil {
-		return nil
-	}
-	return out
-}
-
-// float64sInto bulk-decodes len(dst) raw little-endian float64 values.
-func (r *Reader) float64sInto(dst []float64) {
-	if r.err != nil {
-		return
-	}
-	need := 8 * len(dst)
-	if len(r.buf)-r.off < need {
-		r.fail("float64s payload")
-		return
-	}
-	src := r.buf[r.off : r.off+need]
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-	}
+	need := 8 * int(n)
+	(&LazyTensor{Codec: CodecF64, Data: r.buf[r.off : r.off+need]}).DecodeInto(out)
 	r.off += need
+	return out
 }
 
 // tensorHeader reads the shared tensor prelude — rank and dims — and
@@ -430,39 +472,14 @@ func (r *Reader) tensorHeader() (size int, shape []int) {
 }
 
 // Tensor reads a tensor; returns nil for the nil marker. The reader's
-// Codec must match the encoding.
+// Codec must match the encoding. It is LazyTensor followed by
+// Materialise: the same validation and the same decode loop.
 func (r *Reader) Tensor() *tensor.Tensor {
-	size, shape := r.tensorHeader()
-	if r.err != nil || shape == nil {
+	t := r.LazyTensor()
+	if t == nil {
 		return nil
 	}
-	// Payload-size check per codec before any allocation.
-	var need int
-	switch r.Codec {
-	case CodecF32:
-		need = 4 * size
-	case CodecQ8:
-		need = q8Header + size
-	default:
-		need = 8 * size
-	}
-	if need > len(r.buf)-r.off {
-		r.fail("tensor size")
-		return nil
-	}
-	data := make([]float64, size)
-	switch r.Codec {
-	case CodecF32:
-		r.float32sInto(data)
-	case CodecQ8:
-		r.q8Into(data)
-	default:
-		r.float64sInto(data)
-	}
-	if r.err != nil {
-		return nil
-	}
-	return tensor.FromSlice(data, shape...)
+	return t.Materialise()
 }
 
 // readList decodes a length-prefixed list of elements, each costing at
